@@ -27,7 +27,9 @@
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
+#include "serve/traffic_stats.h"
 #include "text/bow_vectorizer.h"
+#include "text/sequence_encoder.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
@@ -66,6 +68,36 @@ void BM_BowTransform(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BowTransform);
+
+// The deep tier's featurization: one text to max_len word ids.
+void BM_SequenceEncode(benchmark::State& state) {
+  const data::Dataset d = BenchDataset(1024);
+  text::SequenceEncoderOptions options;
+  options.max_len = 20;
+  text::SequenceEncoder encoder(options);
+  encoder.Fit(d.Texts());
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.Encode(d[i % d.size()].text));
+    ++i;
+  }
+}
+BENCHMARK(BM_SequenceEncode);
+
+// The daemon's per-request traffic profile update, at the daemon's epoch
+// geometry and with the reference seeded from the training texts.
+void BM_TrafficRecord(benchmark::State& state) {
+  const data::Dataset d = BenchDataset(1024);
+  serve::TrafficStats stats(1024, 256, 8);
+  stats.SeedReferenceFromTexts(d.Texts());
+  size_t i = 0;
+  for (auto _ : state) {
+    stats.Record(std::string_view(d[i % d.size()].text), (i % 3) * 0.4);
+    ++i;
+  }
+  benchmark::DoNotOptimize(stats.Snapshot().total);
+}
+BENCHMARK(BM_TrafficRecord);
 
 void BM_BowFit(benchmark::State& state) {
   const data::Dataset d = BenchDataset(static_cast<int>(state.range(0)));

@@ -541,8 +541,9 @@ int BenchMain(const std::string& binary, const std::string& out,
     json += i + 1 < configs.size() ? ",\n" : "\n";
   }
   json += "  ],\n";
-  json += StrFormat("  \"open_loop\": {\"rate_qps\": %.1f,\n%s\n  },\n",
-                    open_rate, ConfigJson(open_config).c_str());
+  json += StrFormat(
+      "  \"open_loop\": {\"rate_qps\": %.1f,\n  \"config\":\n%s\n  },\n",
+      open_rate, ConfigJson(open_config).c_str());
   json += StrFormat(
       "  \"gates\": {\"cap32_vs_cap1_qps\": %.3f, "
       "\"cap32_p99_le_cap1\": %s, \"cascade_vs_deep_qps\": %.3f, "

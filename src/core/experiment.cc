@@ -374,11 +374,27 @@ void ExperimentRunner::LoadCacheFile() {
   cache_ = std::move(parsed.entries);
 }
 
+void ExperimentRunner::MergeCacheFileLocked() {
+  auto disk = ReadFileToString(cache_path_);
+  if (!disk.ok()) return;
+  ParsedCache parsed = ParseCacheContent(*disk);
+  if (parsed.crc_mismatch) return;
+  for (auto& [k, r] : parsed.entries) cache_.emplace(k, std::move(r));
+}
+
 bool ExperimentRunner::Lookup(const std::string& key,
-                              ExperimentResult* result) const {
+                              ExperimentResult* result) {
   if (!use_cache_) return false;
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = cache_.find(key);
+  if (it == cache_.end()) {
+    // Another process may have cached the cell since this one last read
+    // the file (a shard worker reclaiming a dead worker's cell, whose
+    // result landed in the cache just before the kill). A miss costs a
+    // training run, so one more read of the file is cheap.
+    MergeCacheFileLocked();
+    it = cache_.find(key);
+  }
   if (it == cache_.end()) {
     SEMTAG_OBS_COUNT("result_cache/misses", 1);
     return false;
@@ -398,15 +414,7 @@ void ExperimentRunner::Store(const std::string& key,
   // other's results. Rows we hold in memory are at least as fresh as the
   // file's, so ours win on key collisions.
   FileLock file_lock(cache_path_);
-  auto disk = ReadFileToString(cache_path_);
-  if (disk.ok()) {
-    ParsedCache parsed = ParseCacheContent(*disk);
-    if (!parsed.crc_mismatch) {
-      for (auto& [k, r] : parsed.entries) {
-        cache_.emplace(k, std::move(r));
-      }
-    }
-  }
+  MergeCacheFileLocked();
   const Status st = WriteFileAtomic(cache_path_, SerializeCache(cache_));
   if (!st.ok()) {
     SEMTAG_LOG(kWarning, "cannot persist result cache: %s",

@@ -131,9 +131,13 @@ class ExperimentRunner {
   RunReport RunAll(models::ModelKind kind);
 
  private:
-  bool Lookup(const std::string& key, ExperimentResult* result) const;
+  /// On a miss, merges the cache file in and looks again.
+  bool Lookup(const std::string& key, ExperimentResult* result);
   void Store(const std::string& key, const ExperimentResult& result);
   void LoadCacheFile();
+  /// Adds the file's entries that are not in memory (caller holds
+  /// cache_mu_); an unreadable or CRC-broken file adds nothing.
+  void MergeCacheFileLocked();
 
   bool use_cache_;
   std::string cache_path_;

@@ -33,6 +33,10 @@ void SparseVector::Scale(float s) {
   for (auto& e : entries_) e.value *= s;
 }
 
+void SparseVector::ScaleByDense(const float* dense) {
+  for (auto& e : entries_) e.value *= dense[e.index];
+}
+
 void SparseVector::L2Normalize() {
   const float norm = Norm();
   if (norm > 0.0f) Scale(1.0f / norm);

@@ -41,6 +41,9 @@ class SparseVector {
   /// Scales all values in place.
   void Scale(float s);
 
+  /// value *= dense[index] for every entry, in place (e.g. IDF weighting).
+  void ScaleByDense(const float* dense);
+
   /// Normalizes to unit L2 norm (no-op for zero vectors).
   void L2Normalize();
 

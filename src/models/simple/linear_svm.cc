@@ -117,7 +117,8 @@ std::vector<TokenContribution> LinearSvm::Explain(std::string_view text,
 
 double LinearSvm::Score(std::string_view text) const {
   SEMTAG_CHECK(trained_);
-  const la::SparseVector x = vectorizer_.Transform(text);
+  thread_local la::SparseVector x;  // reused: no allocation per text
+  vectorizer_.Transform(text, &x);
   return x.Dot(weights_.data()) + bias_;
 }
 

@@ -114,7 +114,8 @@ std::vector<TokenContribution> LogisticRegression::Explain(
 
 double LogisticRegression::Score(std::string_view text) const {
   SEMTAG_CHECK(trained_);
-  const la::SparseVector x = vectorizer_.Transform(text);
+  thread_local la::SparseVector x;  // reused: no allocation per text
+  vectorizer_.Transform(text, &x);
   const double z = x.Dot(weights_.data()) + bias_;
   return 1.0 / (1.0 + std::exp(-z));
 }

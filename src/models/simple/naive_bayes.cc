@@ -55,7 +55,8 @@ Status NaiveBayes::Train(const data::Dataset& train) {
 
 double NaiveBayes::Score(std::string_view text) const {
   SEMTAG_CHECK(trained_);
-  const la::SparseVector x = vectorizer_.Transform(text);
+  thread_local la::SparseVector x;  // reused: no allocation per text
+  vectorizer_.Transform(text, &x);
   double lp = log_prior_pos_;
   double ln = log_prior_neg_;
   for (const auto& e : x.entries()) {

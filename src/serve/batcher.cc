@@ -47,10 +47,12 @@ BatchingOptions BatchingOptionsFromEnv() {
 }
 
 Batcher::Batcher(const ModelRegistry* registry, TrafficStats* stats,
-                 BatchingOptions options, Replanner* replanner)
+                 BatchingOptions options, Replanner* replanner,
+                 BatchDoneHook batch_done)
     : registry_(registry),
       stats_(stats),
       replanner_(replanner),
+      batch_done_(std::move(batch_done)),
       options_(options.Resolved()) {}
 
 Batcher::~Batcher() { Stop(); }
@@ -63,6 +65,8 @@ void Batcher::Start() {
 }
 
 bool Batcher::Submit(std::string text, ScoreCallback done) {
+  bool wake = false;
+  bool full = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_ ||
@@ -73,8 +77,21 @@ bool Batcher::Submit(std::string text, ScoreCallback done) {
     }
     queue_.push_back(Pending{std::move(text), std::move(done),
                              std::chrono::steady_clock::now()});
+    // The scheduler sleeps either for work (queue empty) or for a full
+    // batch / the deadline (queue short of the cap). Only these two
+    // transitions can end a wait early; any other arrival would be a
+    // context switch that finds nothing to do.
+    full = queue_.size() == static_cast<size_t>(options_.batch_cap);
+    wake = full || queue_.size() == 1;
   }
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
+  // A full batch is work the scheduler can start now. The kernel tends to
+  // queue a woken thread on its waker's CPU without preempting it, so
+  // without this the batch waits until the submitter blocks or uses up
+  // its time slice — milliseconds, if it has more to do than submit. At
+  // batch_cap 1 every request fills a batch, and a yield per request
+  // would be the per-request context switch batching exists to avoid.
+  if (full && options_.batch_cap > 1) std::this_thread::yield();
   return true;
 }
 
@@ -104,10 +121,11 @@ uint64_t Batcher::ShedCount() const {
   return shed_;
 }
 
-std::deque<Batcher::Pending> Batcher::TakeBatchLocked() {
-  std::deque<Pending> batch;
+std::vector<Batcher::Pending> Batcher::TakeBatchLocked() {
+  std::vector<Pending> batch;
   const size_t n =
       std::min(queue_.size(), static_cast<size_t>(options_.batch_cap));
+  batch.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
@@ -138,7 +156,7 @@ void Batcher::RunScheduler() {
     if (queue_.empty()) continue;  // raced a concurrent flush (none today)
     SEMTAG_OBS_OBSERVE("serve/queue_depth_at_flush", obs::DepthBuckets(),
                        static_cast<double>(queue_.size()));
-    std::deque<Pending> batch = TakeBatchLocked();
+    std::vector<Pending> batch = TakeBatchLocked();
     ++batches_;
     lock.unlock();
     ScoreBatch(std::move(batch));
@@ -148,11 +166,13 @@ void Batcher::RunScheduler() {
   }
 }
 
-void Batcher::ScoreBatch(std::deque<Pending> batch) {
+void Batcher::ScoreBatch(std::vector<Pending> batch) {
   obs::TraceSpan span("serve/batch");
+  // The texts move (no copy) into the vector ScoreAll wants; the traffic
+  // profile reads them from there.
   std::vector<std::string> texts;
   texts.reserve(batch.size());
-  for (const Pending& p : batch) texts.push_back(p.text);
+  for (Pending& p : batch) texts.push_back(std::move(p.text));
 
   const std::shared_ptr<const ServableModel> servable =
       registry_ == nullptr ? nullptr : registry_->Acquire();
@@ -179,7 +199,7 @@ void Batcher::ScoreBatch(std::deque<Pending> batch) {
       result.model_version = servable->version;
     }
     if (stats_ != nullptr) {
-      stats_->Record(std::string_view(batch[i].text), result.probability);
+      stats_->Record(std::string_view(texts[i]), result.probability);
     }
     SEMTAG_OBS_COUNT("serve/requests_scored", 1);
     using WaitUs = std::chrono::duration<double, std::micro>;
@@ -188,6 +208,7 @@ void Batcher::ScoreBatch(std::deque<Pending> batch) {
                        wait_us);
     if (batch[i].done) batch[i].done(result);
   }
+  if (batch_done_) batch_done_();
   if (stats_ != nullptr) stats_->PublishGauges();
   // Drive the re-planning loop from here: the detector only ever runs
   // between batches on this thread, so a triggered synchronous swap can

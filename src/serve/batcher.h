@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/model_registry.h"
 #include "serve/traffic_stats.h"
@@ -36,13 +37,16 @@ BatchingOptions BatchingOptionsFromEnv();
 /// Completion of one scored request. `score` is the model's raw Score()
 /// value (bit-identical to offline ScoreAll over the same batch),
 /// `probability` the unified scale, `version` the model that produced it.
-/// Runs on the batcher thread — keep it cheap (enqueue + wake).
+/// Runs on the batcher thread — keep it cheap: queue the result and leave
+/// waking its consumer to the batch-done hook, once per batch.
 struct ScoredRequest {
   double score = 0.0;
   double probability = 0.0;
   uint64_t model_version = 0;
 };
 using ScoreCallback = std::function<void(const ScoredRequest&)>;
+/// Runs on the batcher thread after every callback of a batch has run.
+using BatchDoneHook = std::function<void()>;
 
 /// Dynamic-batching scheduler (DESIGN.md "Serving architecture").
 ///
@@ -54,6 +58,13 @@ using ScoreCallback = std::function<void(const ScoredRequest&)>;
 /// SEMTAG_DEEP_BATCH and SEMTAG_QUANT underneath). Each batch acquires
 /// one registry snapshot, so a hot-swap mid-stream never splits a batch
 /// across model versions and in-flight batches finish on the old model.
+///
+/// Wake-ups: Submit() signals the scheduler only when the queue goes from
+/// empty to non-empty (it was asleep waiting for work) or reaches
+/// batch_cap (the batch is full; above cap 1 the submitter also yields
+/// its CPU so the scheduler can take it); every request in between rides
+/// the deadline the first one armed. Completions leave as a batch: the
+/// per-request callbacks run, then `batch_done` once.
 ///
 /// Admission control: Submit() returns false (shed) when queue_cap
 /// requests are already waiting or the batcher is draining; callers map
@@ -72,9 +83,11 @@ class Batcher {
   /// optional: it is polled once after every scored batch, which is what
   /// drives the online re-planning loop (serve/replanner.h) — epochs seal
   /// on the batcher thread, so detector steps interleave with batches
-  /// deterministically.
+  /// deterministically. `batch_done` is optional: it runs once per scored
+  /// batch, after the batch's callbacks and before the replanner poll.
   Batcher(const ModelRegistry* registry, TrafficStats* stats,
-          BatchingOptions options, Replanner* replanner = nullptr);
+          BatchingOptions options, Replanner* replanner = nullptr,
+          BatchDoneHook batch_done = nullptr);
   ~Batcher();
 
   /// Starts the scheduler thread. Call once.
@@ -108,12 +121,13 @@ class Batcher {
 
   void RunScheduler();
   /// Takes up to batch_cap requests (caller holds the lock).
-  std::deque<Pending> TakeBatchLocked();
-  void ScoreBatch(std::deque<Pending> batch);
+  std::vector<Pending> TakeBatchLocked();
+  void ScoreBatch(std::vector<Pending> batch);
 
   const ModelRegistry* registry_;
   TrafficStats* stats_;
   Replanner* replanner_;
+  const BatchDoneHook batch_done_;
   const BatchingOptions options_;
 
   mutable std::mutex mu_;

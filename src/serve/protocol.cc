@@ -62,13 +62,33 @@ bool ParseScorePayload(std::string_view payload, uint64_t* ticket,
   return true;
 }
 
+namespace {
+
+/// "<ticket> <version> <%.17g score>" into `buf`; returns its length.
+size_t FormatScoreInto(uint64_t ticket, uint64_t version, double score,
+                       char (&buf)[96]) {
+  const int n = std::snprintf(buf, sizeof(buf), "%llu %llu %.17g",
+                              static_cast<unsigned long long>(ticket),
+                              static_cast<unsigned long long>(version),
+                              score);
+  return static_cast<size_t>(n);
+}
+
+}  // namespace
+
 std::string FormatScoreResponse(uint64_t ticket, uint64_t version,
                                 double score) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%llu %llu %.17g",
-                static_cast<unsigned long long>(ticket),
-                static_cast<unsigned long long>(version), score);
-  return buf;
+  return std::string(buf, FormatScoreInto(ticket, version, score, buf));
+}
+
+void AppendScoreFrame(uint64_t ticket, uint64_t version, double score,
+                      std::string* out) {
+  char buf[96];
+  AppendFrame(static_cast<uint8_t>(StatusCode::kOk),
+              std::string_view(buf, FormatScoreInto(ticket, version, score,
+                                                    buf)),
+              out);
 }
 
 bool ParseScoreResponse(std::string_view payload, uint64_t* ticket,
@@ -117,6 +137,13 @@ bool FrameReader::Feed(const char* data, size_t size) {
 }
 
 bool FrameReader::Next(uint8_t* tag, std::string* payload) {
+  std::string_view view;
+  if (!Next(tag, &view)) return false;
+  payload->assign(view.data(), view.size());
+  return true;
+}
+
+bool FrameReader::Next(uint8_t* tag, std::string_view* payload) {
   if (violated_) return false;
   const size_t avail = buffer_.size() - consumed_;
   if (avail < kHeaderBytes) return false;
@@ -127,7 +154,8 @@ bool FrameReader::Next(uint8_t* tag, std::string* payload) {
   }
   if (avail < kHeaderBytes + len) return false;
   *tag = static_cast<uint8_t>(buffer_[consumed_ + kHeaderBytes]);
-  payload->assign(buffer_, consumed_ + kHeaderBytes + 1, len - 1);
+  *payload = std::string_view(buffer_).substr(consumed_ + kHeaderBytes + 1,
+                                             len - 1);
   consumed_ += kHeaderBytes + len;
   return true;
 }

@@ -63,6 +63,11 @@ inline constexpr size_t kHeaderBytes = 4;
 /// Appends one framed message ([len][tag][payload]) to `out`.
 void AppendFrame(uint8_t tag, std::string_view payload, std::string* out);
 
+/// Appends a framed kOk score response: AppendFrame over
+/// FormatScoreResponse(ticket, version, score), without the temporary.
+void AppendScoreFrame(uint64_t ticket, uint64_t version, double score,
+                      std::string* out);
+
 /// Builds a kScore request payload: [u64 LE ticket][text].
 std::string ScorePayload(uint64_t ticket, std::string_view text);
 
@@ -88,7 +93,11 @@ class FrameReader {
   bool Feed(const char* data, size_t size);
 
   /// Pops the next complete frame into (tag, payload). False when no full
-  /// frame is buffered yet (or after a violation).
+  /// frame is buffered yet (or after a violation). The view points into
+  /// the reader's buffer and stays valid until the next Feed().
+  bool Next(uint8_t* tag, std::string_view* payload);
+
+  /// Next() copying the payload out.
   bool Next(uint8_t* tag, std::string* payload);
 
   bool violated() const { return violated_; }

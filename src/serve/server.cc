@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
@@ -76,6 +77,7 @@ struct Server::Connection {
   std::string outbuf;
   size_t out_off = 0;
   uint32_t events = 0;  // currently-registered epoll interest
+  bool in_touched = false;  // listed in touched_ by DrainCompletions
 };
 
 Server::Server(ModelRegistry* registry, ServerOptions options)
@@ -88,7 +90,8 @@ Server::Server(ModelRegistry* registry, ServerOptions options)
                      ? std::make_unique<Replanner>(registry, &stats_,
                                                    options.replan)
                      : nullptr),
-      batcher_(registry, &stats_, options.batching, replanner_.get()) {}
+      batcher_(registry, &stats_, options.batching, replanner_.get(),
+               [this] { PostScoredBatch(); }) {}
 
 Server::~Server() { Stop(); }
 
@@ -150,6 +153,7 @@ Status Server::Start() {
 }
 void Server::Stop() {}
 void Server::RunLoop() {}
+void Server::PostScoredBatch() {}
 
 #else
 
@@ -219,10 +223,7 @@ Status Server::Start() {
 void Server::Stop() {
   if (!started_) return;
   stop_requested_.store(true);
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    (void)!::write(wake_fd_, &one, sizeof(one));
-  }
+  if (wake_fd_ >= 0) WakeLoop();
   if (loop_thread_.joinable()) loop_thread_.join();
   for (std::thread& t : swap_threads_) {
     if (t.joinable()) t.join();
@@ -242,13 +243,32 @@ void Server::Stop() {
   }
 }
 
+void Server::WakeLoop() {
+  // Counts wake signals, not epoll returns: signals sent before the loop
+  // reads the eventfd coalesce, so this is the deterministic upper bound.
+  SEMTAG_OBS_COUNT("serve/loop_wakeups", 1);
+  const uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof(one));
+}
+
 void Server::PostCompletion(Completion completion) {
   {
     std::lock_guard<std::mutex> lock(completions_mu_);
     completions_.push_back(std::move(completion));
   }
-  const uint64_t one = 1;
-  (void)!::write(wake_fd_, &one, sizeof(one));
+  WakeLoop();
+}
+
+void Server::PostScoredBatch() {
+  if (scored_.empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    completions_.insert(completions_.end(),
+                        std::make_move_iterator(scored_.begin()),
+                        std::make_move_iterator(scored_.end()));
+  }
+  scored_.clear();
+  WakeLoop();
 }
 
 void Server::DrainCompletions() {
@@ -259,7 +279,8 @@ void Server::DrainCompletions() {
   }
   const double now_us = NowUs();
   for (Completion& completion : batch) {
-    if (completion.request_start_us > 0) {
+    const bool scored = completion.request_start_us > 0;
+    if (scored) {
       SEMTAG_OBS_OBSERVE("serve/request_latency_us",
                          obs::ServeLatencyBucketsUs(),
                          now_us - completion.request_start_us);
@@ -267,9 +288,24 @@ void Server::DrainCompletions() {
     const auto it = connections_.find(completion.conn_id);
     if (it == connections_.end()) continue;  // client went away
     Connection* conn = it->second.get();
-    conn->outbuf += completion.frame;
+    if (scored) {
+      AppendScoreFrame(completion.ticket, completion.model_version,
+                       completion.score, &conn->outbuf);
+    } else {
+      conn->outbuf += completion.frame;
+    }
+    if (!conn->in_touched) {
+      conn->in_touched = true;
+      touched_.push_back(conn);
+    }
+  }
+  // One write per connection for the whole batch. HandleWritable closes
+  // only the connection it is given, so the other pointers stay valid.
+  for (Connection* conn : touched_) {
+    conn->in_touched = false;
     HandleWritable(conn);
   }
+  touched_.clear();
 }
 
 void Server::SendNow(Connection* conn, StatusCode code,
@@ -331,7 +367,7 @@ void Server::HandleAccept() {
 }
 
 bool Server::HandleFrame(Connection* conn, uint8_t opcode,
-                         const std::string& payload) {
+                         std::string_view payload) {
   switch (static_cast<Opcode>(opcode)) {
     case Opcode::kScore: {
       uint64_t ticket = 0;
@@ -344,17 +380,18 @@ bool Server::HandleFrame(Connection* conn, uint8_t opcode,
       SEMTAG_OBS_COUNT("serve/requests", 1);
       const uint64_t conn_id = conn->id;
       const double start_us = NowUs();
+      // The one copy of the text: out of the read buffer into the
+      // request, which the batcher then moves into the scored batch.
       const bool admitted = batcher_.Submit(
           std::string(text),
           [this, conn_id, ticket, start_us](const ScoredRequest& scored) {
-            Completion completion;
+            // Batcher thread; PostScoredBatch publishes the whole batch.
+            Completion& completion = scored_.emplace_back();
             completion.conn_id = conn_id;
+            completion.ticket = ticket;
+            completion.model_version = scored.model_version;
+            completion.score = scored.score;
             completion.request_start_us = start_us;
-            AppendFrame(static_cast<uint8_t>(StatusCode::kOk),
-                        FormatScoreResponse(ticket, scored.model_version,
-                                            scored.score),
-                        &completion.frame);
-            PostCompletion(std::move(completion));
           });
       if (!admitted) {
         {
@@ -374,7 +411,7 @@ bool Server::HandleFrame(Connection* conn, uint8_t opcode,
       SendNow(conn, StatusCode::kOk, StatsJson());
       return true;
     case Opcode::kSwap: {
-      const std::string path = payload;
+      const std::string path(payload);
       const uint64_t conn_id = conn->id;
       // Model building takes seconds; do it off the loop so scoring
       // continues against the old model until the pointer flip.
@@ -432,7 +469,7 @@ void Server::HandleReadable(Connection* conn) {
   }
   const uint64_t conn_id = conn->id;
   uint8_t opcode = 0;
-  std::string payload;
+  std::string_view payload;  // into the reader's buffer; no Feed below
   while (conn->reader.Next(&opcode, &payload)) {
     if (!HandleFrame(conn, opcode, payload)) {
       std::lock_guard<std::mutex> lock(counters_mu_);

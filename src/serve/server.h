@@ -58,9 +58,11 @@ struct ServerCounters {
 /// the hot-swappable registry (serve/model_registry.h).
 ///
 /// Threads: the event loop owns all connection state; the batcher thread
-/// scores and posts completions through a queue + eventfd wakeup; swap
-/// requests build their replacement model on short-lived worker threads.
-/// No connection state is ever touched off the loop thread.
+/// scores and posts completions through a queue + eventfd wakeup — one
+/// wakeup per scored batch, not per request; swap requests build their
+/// replacement model on short-lived worker threads and wake the loop as
+/// soon as they finish. No connection state is ever touched off the loop
+/// thread.
 ///
 /// Graceful drain (SIGTERM via the ShutdownSignal fd, or Stop()): close
 /// the listen socket, stop reading, flush queued requests as final
@@ -97,8 +99,14 @@ class Server {
   struct Connection;
   struct Completion {
     uint64_t conn_id = 0;
-    std::string frame;               // pre-framed response bytes
+    /// A score response (request_start_us > 0) is formatted on the loop,
+    /// straight into the connection's output buffer; any other carries
+    /// its framed bytes.
     double request_start_us = 0.0;   // 0 = not a score completion
+    uint64_t ticket = 0;
+    uint64_t model_version = 0;
+    double score = 0.0;
+    std::string frame;
   };
 
   void RunLoop();
@@ -106,8 +114,16 @@ class Server {
   void HandleReadable(Connection* conn);
   void HandleWritable(Connection* conn);
   bool HandleFrame(Connection* conn, uint8_t opcode,
-                   const std::string& payload);
+                   std::string_view payload);
+  /// Queues one completion and wakes the loop (kSwap replies).
   void PostCompletion(Completion completion);
+  /// Batch-done hook: moves the batch's score completions to the loop's
+  /// queue under one lock and wakes the loop once.
+  void PostScoredBatch();
+  /// Writes the eventfd; counted as serve/loop_wakeups.
+  void WakeLoop();
+  /// Appends every queued response to its connection, then writes each
+  /// touched connection once.
   void DrainCompletions();
   void FlushAndClose();
   void CloseConnection(uint64_t conn_id);
@@ -129,6 +145,8 @@ class Server {
 
   std::mutex completions_mu_;
   std::vector<Completion> completions_;
+  std::vector<Completion> scored_;       // batcher thread only
+  std::vector<Connection*> touched_;     // loop thread only
   std::vector<std::thread> swap_threads_;
 
   mutable std::mutex counters_mu_;

@@ -9,19 +9,6 @@
 namespace semtag::serve {
 namespace {
 
-// 64-bit FNV-1a over a token. Tokens are compared only by hash: at the
-// vocabulary sizes the generator produces (thousands of distinct words)
-// 64-bit collisions are negligible, and hashing keeps the per-request
-// cost flat whatever the token length distribution does.
-uint64_t HashToken(std::string_view token) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : token) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // Number of entropy buckets: coarse enough that a few hundred records per
 // epoch fill the histogram, fine enough that entity soup visibly flattens
 // it.
@@ -67,9 +54,9 @@ void TrafficStats::Record(size_t text_bytes, double probability) {
 }
 
 void TrafficStats::Record(std::string_view text, double probability) {
-  // Tokenize outside the lock; hashing is cheap but the tokenizer
-  // allocates.
-  const std::vector<std::string> tokens = text::Tokenize(text);
+  // Tokenize (and hash) outside the lock, into a reused per-thread buffer.
+  thread_local text::TokenBuffer tokens;
+  tokens.Assign(text);
   std::lock_guard<std::mutex> lock(mu_);
   RecordLocked(text.size(), probability);
   current_.count += 1;
@@ -77,8 +64,12 @@ void TrafficStats::Record(std::string_view text, double probability) {
   current_.bytes += text.size();
   current_.tokens += tokens.size();
   if (reference_ready_) current_.ref_tokens += tokens.size();
-  for (const std::string& token : tokens) {
-    const uint64_t h = HashToken(token);
+  // Tokens are compared only by hash: at the vocabulary sizes the
+  // generator produces (thousands of distinct words) 64-bit collisions are
+  // negligible, and the per-request cost stays flat whatever the token
+  // length distribution does.
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const uint64_t h = tokens.hash(i);
     ++bucket_counts_[h % kEntropyBuckets];
     if (reference_ready_ && reference_.count(h) == 0) ++current_.oov_tokens;
     if (epoch_hashes_.insert(h).second) {
@@ -97,10 +88,12 @@ void TrafficStats::Record(std::string_view text, double probability) {
 
 void TrafficStats::SeedReferenceFromTexts(
     const std::vector<std::string>& texts) {
+  text::TokenBuffer tokens;
   std::lock_guard<std::mutex> lock(mu_);
   for (const std::string& text : texts) {
-    for (const std::string& token : text::Tokenize(text)) {
-      const uint64_t h = HashToken(token);
+    tokens.Assign(text);
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      const uint64_t h = tokens.hash(i);
       if (reference_.size() < kVocabCap) reference_.insert(h);
       if (seen_.size() < kVocabCap) seen_.insert(h);
     }

@@ -66,8 +66,9 @@ struct TrafficProfile {
 ///    advance the window deterministically without sleeping, and the
 ///    re-planner counts hysteresis dwell in epochs, not seconds.
 ///
-/// The cleanliness proxy hashes tokens (FNV-1a 64) against a reference
-/// vocabulary — seeded from the training corpus via
+/// The cleanliness proxy keys tokens by text::HashToken (FNV-1a 64, the
+/// hash the tokenizer computes for the vocabulary index) against a
+/// reference vocabulary — seeded from the training corpus via
 /// SeedReferenceFromTexts(), or lazily adopted from the first sealed
 /// epoch — and tracks OOV rate, vocabulary churn, and token entropy per
 /// epoch. Hash sets are capped (kVocabCap) so memory stays bounded on

@@ -9,10 +9,10 @@ namespace semtag::text {
 
 void BowVectorizer::Fit(const std::vector<std::string>& texts) {
   VocabularyBuilder builder;
+  TokenBuffer tokens;
   for (const auto& t : texts) {
-    builder.AddDocument(ExtractNgrams(Tokenize(t, options_.tokenizer),
-                                      options_.min_ngram,
-                                      options_.max_ngram));
+    tokens.Assign(t, options_.tokenizer);
+    builder.AddDocument(tokens, options_.min_ngram, options_.max_ngram);
   }
   vocab_ = builder.Build(options_.min_doc_freq, options_.max_features);
   idf_.assign(static_cast<size_t>(vocab_.size()), 1.0f);
@@ -35,29 +35,31 @@ BowVectorizer BowVectorizer::FromState(BowOptions options, Vocabulary vocab,
   return out;
 }
 
+void BowVectorizer::Transform(std::string_view text,
+                              la::SparseVector* out) const {
+  thread_local TokenBuffer tokens;
+  tokens.Assign(text, options_.tokenizer);
+  out->clear();
+  out->reserve(static_cast<size_t>(options_.max_ngram - options_.min_ngram +
+                                   1) *
+               tokens.size());
+  ForEachNgram(tokens, options_.min_ngram, options_.max_ngram,
+               [&](uint64_t hash, std::string_view gram) {
+                 const int32_t id = vocab_.Find(hash, gram);
+                 if (id != kUnknownTokenId) {
+                   out->Push(static_cast<uint32_t>(id), 1.0f);
+                 }
+               });
+  out->SortAndMerge();
+  // After SortAndMerge each entry value is the raw term count; scale by
+  // the feature's IDF weight.
+  if (options_.use_idf) out->ScaleByDense(idf_.data());
+  if (options_.l2_normalize) out->L2Normalize();
+}
+
 la::SparseVector BowVectorizer::Transform(std::string_view text) const {
   la::SparseVector vec;
-  const auto grams = ExtractNgrams(Tokenize(text, options_.tokenizer),
-                                   options_.min_ngram, options_.max_ngram);
-  vec.reserve(grams.size());
-  for (const auto& g : grams) {
-    const int32_t id = vocab_.Lookup(g);
-    if (id != kUnknownTokenId) {
-      vec.Push(static_cast<uint32_t>(id), 1.0f);
-    }
-  }
-  vec.SortAndMerge();
-  if (options_.use_idf) {
-    // After SortAndMerge each entry value is the raw term count; scale by
-    // the feature's IDF weight.
-    la::SparseVector weighted;
-    weighted.reserve(vec.nnz());
-    for (const auto& e : vec.entries()) {
-      weighted.Push(e.index, e.value * idf_[e.index]);
-    }
-    vec = std::move(weighted);
-  }
-  if (options_.l2_normalize) vec.L2Normalize();
+  Transform(text, &vec);
   return vec;
 }
 

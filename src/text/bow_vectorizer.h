@@ -43,6 +43,12 @@ class BowVectorizer {
   static BowVectorizer FromState(BowOptions options, Vocabulary vocab,
                                  std::vector<float> idf);
 
+  /// Featurizes one text into `out`, replacing its contents. Requires
+  /// Fit() first. Tokenizes into a thread-local TokenBuffer and resolves
+  /// every n-gram by hash (ForEachNgram + Vocabulary::Find), so with a
+  /// reused `out` the steady state allocates nothing.
+  void Transform(std::string_view text, la::SparseVector* out) const;
+
   /// Featurizes one text. Requires Fit() first.
   la::SparseVector Transform(std::string_view text) const;
 

@@ -32,6 +32,7 @@
 #include "data/specs.h"
 #include "models/factory.h"
 #include "models/simple/linear_svm.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
@@ -765,6 +766,56 @@ TEST(ServerTest, ShedResponseWhenQueueFull) {
   EXPECT_GT(ok, 0);
   EXPECT_GT(shed, 0) << "queue_cap=1 under a 64-deep flood must shed";
   server.Stop();
+}
+
+TEST(ServerTest, LoopWakesOncePerScoredBatchAndOnEverySwap) {
+  const data::Dataset dataset = TinyDataset();
+  ModelRegistry registry;
+  registry.Install(TrainedSvm(dataset), "svm");
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const obs::Counter& wakeups = obs::GetCounter("serve/loop_wakeups");
+  const obs::Counter& batches = obs::GetCounter("serve/batches");
+
+  ServerOptions options;
+  options.batching.batch_cap = 32;
+  // Long enough that only full batches flush: 64 requests are exactly two.
+  options.batching.deadline_us = 2 * 1000 * 1000;
+  Server server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  const uint64_t wakeups_before = wakeups.Value();
+  const uint64_t batches_before = batches.Value();
+  const int n = 64;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kScore),
+                            ScorePayload(i, dataset[i].text)));
+  }
+  uint8_t tag = 0;
+  std::string payload;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(client.ReadFrame(&tag, &payload)) << "after " << i;
+    ASSERT_EQ(tag, static_cast<uint8_t>(StatusCode::kOk));
+  }
+  const uint64_t scored_batches = batches.Value() - batches_before;
+  const uint64_t loop_wakeups = wakeups.Value() - wakeups_before;
+  EXPECT_EQ(scored_batches, 2u);
+  EXPECT_EQ(loop_wakeups, scored_batches)
+      << "the loop must be woken once per batch, not once per request";
+
+  // A swap completion wakes the loop on its own (a bad path answers
+  // kError through the same path a good one takes).
+  const uint64_t before_swap = wakeups.Value();
+  ASSERT_TRUE(client.Send(static_cast<uint8_t>(Opcode::kSwap),
+                          TempPath("no_such_model.spec")));
+  ASSERT_TRUE(client.ReadFrame(&tag, &payload));
+  EXPECT_EQ(tag, static_cast<uint8_t>(StatusCode::kError));
+  EXPECT_GT(wakeups.Value(), before_swap);
+
+  server.Stop();
+  obs::SetMetricsEnabled(metrics_were_on);
 }
 
 TEST(ServerTest, ProtocolViolationDropsConnectionOnly) {
